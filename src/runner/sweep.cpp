@@ -1,5 +1,6 @@
 #include "runner/sweep.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -12,6 +13,8 @@
 #include <optional>
 #include <sstream>
 #include <thread>
+#include <type_traits>
+#include <variant>
 
 #include "comm/fault.hpp"
 #include "runner/registry.hpp"
@@ -131,71 +134,6 @@ std::string json_escape(const std::string& s) {
 }
 
 // --------------------------------------------------------------- journal
-//
-// One JSON object per line; the writer is this file, so the reader is a
-// targeted field extractor rather than a general JSON parser. Numbers are
-// written with %.17g (round-trips doubles exactly; `inf`/`nan` appear as
-// bare tokens, which strtod reads back) — that is what makes a resumed
-// report byte-identical to an uninterrupted one.
-
-/// Locate the value of `"key": ` in a journal line; npos when absent.
-std::size_t find_json_value(const std::string& line, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const auto at = line.find(needle);
-  if (at == std::string::npos) return std::string::npos;
-  auto pos = at + needle.size();
-  while (pos < line.size() && line[pos] == ' ') ++pos;
-  return pos < line.size() ? pos : std::string::npos;
-}
-
-bool json_get_string(const std::string& line, const std::string& key,
-                     std::string& out) {
-  auto pos = find_json_value(line, key);
-  if (pos == std::string::npos || line[pos] != '"') return false;
-  ++pos;
-  out.clear();
-  while (pos < line.size() && line[pos] != '"') {
-    char c = line[pos];
-    if (c == '\\' && pos + 1 < line.size()) {
-      const char e = line[++pos];
-      switch (e) {
-        case 'n': c = '\n'; break;
-        case 't': c = '\t'; break;
-        case 'r': c = '\r'; break;
-        case 'u': {
-          // Only \u00XX is ever emitted (see json_escape).
-          if (pos + 4 >= line.size()) return false;
-          c = static_cast<char>(
-              std::strtol(line.substr(pos + 1, 4).c_str(), nullptr, 16));
-          pos += 4;
-          break;
-        }
-        default: c = e; break;
-      }
-    }
-    out += c;
-    ++pos;
-  }
-  return pos < line.size();
-}
-
-bool json_get_double(const std::string& line, const std::string& key,
-                     double& out) {
-  const auto pos = find_json_value(line, key);
-  if (pos == std::string::npos) return false;
-  char* end = nullptr;
-  out = std::strtod(line.c_str() + pos, &end);
-  return end != line.c_str() + pos;
-}
-
-bool json_get_int(const std::string& line, const std::string& key,
-                  std::int64_t& out) {
-  const auto pos = find_json_value(line, key);
-  if (pos == std::string::npos) return false;
-  char* end = nullptr;
-  out = std::strtoll(line.c_str() + pos, &end, 10);
-  return end != line.c_str() + pos;
-}
 
 constexpr const char* kJournalKind = "nadmm-sweep-journal";
 // v2: partition axis in the expansion/tag and the peak_dataset_bytes
@@ -211,6 +149,8 @@ constexpr const char* kJournalKind = "nadmm-sweep-journal";
 // journals are rejected on --resume — their fingerprints no longer
 // match either.
 constexpr std::int64_t kJournalVersion = 6;
+/// Journal records are keyed by scenario index under this name.
+constexpr const char* kJournalIndexKey = "index";
 
 /// RunResult::metrics as the journal/JSON wire form: "name:value;…" in
 /// key order. The map never stores zero values (add_metric skips them),
@@ -255,120 +195,325 @@ std::string journal_header_line(const std::string& fingerprint,
   return os.str();
 }
 
-std::string journal_outcome_line(const ScenarioOutcome& o) {
-  std::ostringstream os;
-  os << "{\"index\": " << o.scenario.index            //
-     << ", \"tag\": \"" << json_escape(o.scenario.tag()) << "\""
-     << ", \"status\": \"" << (o.ok ? "ok" : "error") << "\"";
-  if (o.ok) {
-    os << ", \"iterations\": " << o.result.iterations  //
-       << ", \"final_objective\": " << fmt_double(o.result.final_objective)
-       << ", \"final_test_accuracy\": "
-       << fmt_double(o.result.final_test_accuracy)
-       << ", \"total_sim_seconds\": " << fmt_double(o.result.total_sim_seconds)
-       << ", \"avg_epoch_sim_seconds\": "
-       << fmt_double(o.result.avg_epoch_sim_seconds)
-       << ", \"total_comm_sim_seconds\": " << fmt_double(o.comm_sim_seconds)
-       << ", \"max_wait_seconds\": " << fmt_double(o.max_wait_seconds)  //
-       << ", \"rank_wait_seconds\": \"" << json_escape(o.rank_waits) << "\""
-       << ", \"staleness_hist\": \"" << json_escape(o.staleness_hist) << "\""
-       << ", \"peak_dataset_bytes\": " << o.peak_dataset_bytes
-       << ", \"requests\": " << o.serve_requests                //
-       << ", \"batches\": " << o.serve_batches                  //
-       << ", \"throughput_rps\": " << fmt_double(o.throughput_rps)
-       << ", \"mean_batch\": " << fmt_double(o.mean_batch)      //
-       << ", \"p50_latency_s\": " << fmt_double(o.p50_latency_s)
-       << ", \"p99_latency_s\": " << fmt_double(o.p99_latency_s)
-       << ", \"p999_latency_s\": " << fmt_double(o.p999_latency_s)
-       << ", \"metrics\": \"" << json_escape(fmt_metrics(o.result.metrics))
-       << "\"";
-  } else {
-    os << ", \"error\": \"" << json_escape(o.error) << "\"";
+/// One journal value: a string's unescaped contents or a number's token.
+struct JsonValue {
+  std::string text;
+  bool quoted = false;
+};
+using JsonFields = std::map<std::string, JsonValue>;
+
+/// Split one journal line into key → value. The writer is this file, so
+/// a line is a flat object of strings and bare numbers (`inf`/`nan`
+/// included), separated by ", " and ": ". Returns nullopt for lines that
+/// do not parse: only the final line of a killed run can be torn,
+/// because the writer flushes per line, and a torn line lacks its
+/// closing brace.
+std::optional<JsonFields> split_journal_line(const std::string& line) {
+  std::size_t pos = 1;
+  const auto read_string = [&](std::string& out) {
+    if (pos >= line.size() || line[pos] != '"') return false;
+    out.clear();
+    for (++pos; pos < line.size() && line[pos] != '"'; ++pos) {
+      char c = line[pos];
+      if (c == '\\' && pos + 1 < line.size()) {
+        c = line[++pos];
+        switch (c) {
+          case 'n': c = '\n'; break;
+          case 't': c = '\t'; break;
+          case 'r': c = '\r'; break;
+          case 'u':
+            // Only \u00XX is ever emitted (see json_escape).
+            if (pos + 4 >= line.size()) return false;
+            c = static_cast<char>(
+                std::strtol(line.substr(pos + 1, 4).c_str(), nullptr, 16));
+            pos += 4;
+            break;
+          default: break;
+        }
+      }
+      out += c;
+    }
+    return pos++ < line.size();  // step past the closing quote
+  };
+  if (line.empty() || line[0] != '{') return std::nullopt;
+  JsonFields fields;
+  while (true) {
+    std::string key;
+    if (!read_string(key) || line.compare(pos, 2, ": ") != 0) {
+      return std::nullopt;
+    }
+    pos += 2;
+    JsonValue& value = fields[key];
+    value.quoted = pos < line.size() && line[pos] == '"';
+    if (value.quoted) {
+      if (!read_string(value.text)) return std::nullopt;
+    } else {
+      const auto end = line.find_first_of(",}", pos);
+      if (end == std::string::npos) return std::nullopt;
+      value.text = line.substr(pos, end - pos);
+      pos = end;
+    }
+    if (line.compare(pos, 2, ", ") != 0) break;
+    pos += 2;
   }
-  os << '}';
-  return os.str();
+  if (pos >= line.size() || line[pos] != '}' ||
+      !trim(line.substr(pos + 1)).empty()) {
+    return std::nullopt;
+  }
+  return fields;
+}
+
+// ------------------------------------------------------- report columns
+//
+// One table drives every serialization of a scenario outcome: the CSV
+// report, the JSON report and the resume journal. The table is in JSON
+// order, which the journal shares; `csv` places a column in the CSV.
+// Outcome columns (kOk rows) hold what a successful run measured: JSON
+// and the journal omit them on error rows and the CSV prints their zero
+// value, so a fresh report and one restored from the journal agree on
+// every row.
+//
+// Journal numbers are written with %.17g (round-trips doubles exactly;
+// `inf`/`nan` appear as bare tokens, which strtod reads back) — that is
+// what makes a resumed report byte-identical to an uninterrupted one.
+// JSON has no inf/nan literals, so the JSON report writes them as null.
+
+/// A column value; the alternatives follow Kind's order.
+using Cell = std::variant<std::int64_t, std::uint64_t, double, std::string>;
+enum Kind { kInt, kUint, kDouble, kString };
+
+/// The rows that carry a column: every row, ok rows, or error rows.
+enum Rows { kAll, kOk, kError };
+
+/// The formats that carry a column (bit flags).
+enum Format : unsigned { kCsv = 1, kJson = 2, kJournal = 4 };
+constexpr unsigned kReports = kCsv | kJson;
+constexpr unsigned kEverywhere = kCsv | kJson | kJournal;
+constexpr int kNoCsv = -1;
+
+struct Column {
+  const char* name;
+  Kind kind;
+  Rows rows;
+  unsigned formats;
+  int csv;  ///< position in the CSV row; kNoCsv without kCsv
+  /// Null for the CSV projections of result.metrics, read by name.
+  Cell (*get)(const ScenarioOutcome&);
+  /// Restores a journal column (false rejects the line). Journal columns
+  /// without one are derived from the scenario and checked against it.
+  bool (*set)(ScenarioOutcome&, const Cell&);
+};
+
+template <typename T>
+using CellType = std::conditional_t<
+    std::is_same_v<T, std::string>, std::string,
+    std::conditional_t<std::is_floating_point_v<T>, double,
+                       std::conditional_t<std::is_signed_v<T>, std::int64_t,
+                                          std::uint64_t>>>;
+
+template <typename T>
+Cell to_cell(const T& value) {
+  return Cell{static_cast<CellType<T>>(value)};
+}
+
+template <typename T>
+bool from_cell(const Cell& cell, T& out) {
+  out = static_cast<T>(std::get<CellType<T>>(cell));
+  return true;
+}
+
+// Accessors for a column backed by one ScenarioOutcome member: read-only
+// (GET) or also restored from the journal (FIELD).
+#define GET(member) \
+  [](const ScenarioOutcome& o) { return to_cell(o.member); }, nullptr
+#define FIELD(member)                                          \
+  [](const ScenarioOutcome& o) { return to_cell(o.member); }, \
+      [](ScenarioOutcome& o, const Cell& v) { return from_cell(v, o.member); }
+
+// The status column precedes every kOk/kError column: a journal restore
+// learns from it which of them the line carries.
+constexpr Column kColumns[] = {
+    {"scenario", kInt, kAll, kReports, 0, GET(scenario.index)},
+    {"tag", kString, kAll, kJson | kJournal, kNoCsv,
+     [](const ScenarioOutcome& o) { return Cell{o.scenario.tag()}; }, nullptr},
+    {"solver", kString, kAll, kReports, 1, GET(scenario.solver)},
+    {"dataset", kString, kAll, kReports, 2, GET(scenario.config.dataset)},
+    {"n_train", kUint, kAll, kReports, 3, GET(scenario.config.n_train)},
+    {"n_test", kUint, kAll, kReports, 4, GET(scenario.config.n_test)},
+    {"workers", kInt, kAll, kReports, 5, GET(scenario.config.workers)},
+    {"device", kString, kAll, kReports, 6, GET(scenario.config.device)},
+    {"network", kString, kAll, kReports, 7, GET(scenario.config.network)},
+    {"penalty", kString, kAll, kReports, 8, GET(scenario.config.penalty)},
+    {"lambda", kDouble, kAll, kReports, 9, GET(scenario.config.lambda)},
+    {"straggler", kString, kAll, kReports, 10, GET(scenario.config.straggler)},
+    {"partition", kString, kAll, kReports, 11, GET(scenario.config.partition)},
+    {"fault", kString, kAll, kReports, 32, GET(scenario.config.fault)},
+    {"kill", kString, kAll, kReports, 33, GET(scenario.config.kill)},
+    {"checkpoint_every", kInt, kAll, kReports, 34,
+     GET(scenario.config.checkpoint_every)},
+    {"arrival", kString, kAll, kReports, 23, GET(scenario.arrival)},
+    {"batch_policy", kString, kAll, kReports, 24, GET(scenario.batch)},
+    {"status", kString, kAll, kEverywhere, 12,
+     [](const ScenarioOutcome& o) { return Cell{o.ok ? "ok" : "error"}; },
+     [](ScenarioOutcome& o, const Cell& v) {
+       o.ok = std::get<std::string>(v) == "ok";
+       return o.ok || std::get<std::string>(v) == "error";
+     }},
+    {"iterations", kInt, kOk, kEverywhere, 13, FIELD(result.iterations)},
+    {"final_objective", kDouble, kOk, kEverywhere, 14,
+     FIELD(result.final_objective)},
+    {"final_test_accuracy", kDouble, kOk, kEverywhere, 15,
+     FIELD(result.final_test_accuracy)},
+    {"total_sim_seconds", kDouble, kOk, kEverywhere, 16,
+     FIELD(result.total_sim_seconds)},
+    {"avg_epoch_sim_seconds", kDouble, kOk, kEverywhere, 17,
+     FIELD(result.avg_epoch_sim_seconds)},
+    {"total_comm_sim_seconds", kDouble, kOk, kEverywhere, 18,
+     FIELD(comm_sim_seconds)},
+    {"max_wait_seconds", kDouble, kOk, kEverywhere, 19,
+     FIELD(max_wait_seconds)},
+    {"rank_wait_seconds", kString, kOk, kEverywhere, 20, FIELD(rank_waits)},
+    {"staleness_hist", kString, kOk, kEverywhere, 21, FIELD(staleness_hist)},
+    {"peak_dataset_bytes", kUint, kOk, kEverywhere, 22,
+     FIELD(peak_dataset_bytes)},
+    {"requests", kUint, kOk, kEverywhere, 25, FIELD(serve_requests)},
+    {"batches", kUint, kOk, kEverywhere, 26, FIELD(serve_batches)},
+    {"throughput_rps", kDouble, kOk, kEverywhere, 27, FIELD(throughput_rps)},
+    {"mean_batch", kDouble, kOk, kEverywhere, 28, FIELD(mean_batch)},
+    {"p50_latency_s", kDouble, kOk, kEverywhere, 29, FIELD(p50_latency_s)},
+    {"p99_latency_s", kDouble, kOk, kEverywhere, 30, FIELD(p99_latency_s)},
+    {"p999_latency_s", kDouble, kOk, kEverywhere, 31, FIELD(p999_latency_s)},
+    {"metrics", kString, kOk, kJson | kJournal, kNoCsv,
+     [](const ScenarioOutcome& o) {
+       return Cell{fmt_metrics(o.result.metrics)};
+     },
+     [](ScenarioOutcome& o, const Cell& v) {
+       return parse_metrics(std::get<std::string>(v), o.result.metrics);
+     }},
+    {"retransmits", kUint, kOk, kCsv, 35, nullptr, nullptr},
+    {"gaps_detected", kUint, kOk, kCsv, 36, nullptr, nullptr},
+    {"messages_dropped", kUint, kOk, kCsv, 37, nullptr, nullptr},
+    {"checkpoints", kUint, kOk, kCsv, 38, nullptr, nullptr},
+    {"restores", kUint, kOk, kCsv, 39, nullptr, nullptr},
+    {"error", kString, kError, kJson | kJournal, kNoCsv, FIELD(error)},
+};
+
+#undef GET
+#undef FIELD
+
+bool carried(const Column& c, bool ok) {
+  return c.rows == kAll || (c.rows == kOk) == ok;
+}
+
+Cell column_value(const Column& c, const ScenarioOutcome& o) {
+  return c.get ? c.get(o) : Cell{o.result.metric(c.name)};
+}
+
+std::string format_cell(const Cell& cell, Format format) {
+  switch (static_cast<Kind>(cell.index())) {
+    case kInt: return std::to_string(std::get<std::int64_t>(cell));
+    case kUint: return std::to_string(std::get<std::uint64_t>(cell));
+    case kDouble:
+      return format == kJson ? fmt_json_number(std::get<double>(cell))
+                             : fmt_double(std::get<double>(cell));
+    case kString: break;
+  }
+  const auto& s = std::get<std::string>(cell);
+  return format == kCsv ? s : "\"" + json_escape(s) + "\"";
+}
+
+/// Parse `key` of a journal line as a `kind` value; false when it is
+/// absent or malformed.
+bool read_field(const JsonFields& fields, const std::string& key, Kind kind,
+                Cell& out) {
+  const auto it = fields.find(key);
+  if (it == fields.end() || it->second.quoted != (kind == kString)) {
+    return false;
+  }
+  const std::string& text = it->second.text;
+  char* end = nullptr;
+  switch (kind) {
+    case kInt:
+      out = static_cast<std::int64_t>(std::strtoll(text.c_str(), &end, 10));
+      break;
+    case kUint:
+      out = static_cast<std::uint64_t>(std::strtoull(text.c_str(), &end, 10));
+      break;
+    case kDouble: out = std::strtod(text.c_str(), &end); break;
+    case kString: out = text; return true;
+  }
+  return !text.empty() && end == text.c_str() + text.size();
+}
+
+/// The columns `format` carries on `o`'s row, as one JSON object.
+std::string json_record(const ScenarioOutcome& o, Format format) {
+  std::string out;
+  const auto add = [&out](const char* name, const std::string& value) {
+    out += (out.empty() ? "{\"" : ", \"") + std::string(name) + "\": " + value;
+  };
+  if (format == kJournal) {
+    add(kJournalIndexKey, std::to_string(o.scenario.index));
+  }
+  for (const Column& c : kColumns) {
+    if ((c.formats & format) != 0 && carried(c, o.ok)) {
+      add(c.name, format_cell(column_value(c, o), format));
+    }
+  }
+  return out + '}';
+}
+
+/// The CSV columns in CSV order.
+const std::vector<const Column*>& csv_columns() {
+  static const std::vector<const Column*> columns = [] {
+    std::vector<const Column*> out;
+    for (const Column& c : kColumns) {
+      if ((c.formats & kCsv) != 0) out.push_back(&c);
+    }
+    std::sort(out.begin(), out.end(), [](const Column* a, const Column* b) {
+      return a->csv < b->csv;
+    });
+    for (std::size_t k = 0; k < out.size(); ++k) {
+      NADMM_ASSERT(out[k]->csv == static_cast<int>(k));
+    }
+    return out;
+  }();
+  return columns;
 }
 
 /// Parse one journal data line back into the outcome for its scenario.
 /// Returns false (leaving `completed` untouched) on lines that do not
-/// parse — only the final line of a killed run can be torn, because the
-/// writer flushes per line.
+/// parse; throws when the line belongs to a different grid spec.
 bool restore_outcome_line(const std::string& line,
                           const std::vector<Scenario>& scenarios,
                           std::vector<ScenarioOutcome>& outcomes,
                           std::vector<char>& completed) {
-  // A line torn inside its final numeric field would still satisfy every
-  // field extractor below (strtod parses the truncated prefix); only a
-  // closing brace proves the record was written out completely.
-  const auto last = line.find_last_not_of(" \t\r");
-  if (last == std::string::npos || line[last] != '}') return false;
-  std::int64_t index = -1;
-  std::string tag, status;
-  if (!json_get_int(line, "index", index) ||
-      !json_get_string(line, "tag", tag) ||
-      !json_get_string(line, "status", status)) {
+  const auto fields = split_journal_line(line);
+  Cell index;
+  if (!fields || !read_field(*fields, kJournalIndexKey, kInt, index)) {
     return false;
   }
-  if (index < 0 || static_cast<std::size_t>(index) >= scenarios.size()) {
-    return false;
-  }
-  const auto i = static_cast<std::size_t>(index);
-  NADMM_CHECK(scenarios[i].tag() == tag,
-              "sweep journal: scenario " + std::to_string(index) +
-                  " is tagged '" + tag + "' but the grid expands to '" +
-                  scenarios[i].tag() + "' — journal is from a different spec");
+  const auto i = static_cast<std::size_t>(std::get<std::int64_t>(index));
+  if (i >= scenarios.size()) return false;  // negative indices wrap too
   ScenarioOutcome o;
   o.scenario = scenarios[i];
   o.from_journal = true;
-  if (status == "ok") {
-    std::int64_t iterations = 0;
-    if (!json_get_int(line, "iterations", iterations) ||
-        !json_get_double(line, "final_objective", o.result.final_objective) ||
-        !json_get_double(line, "final_test_accuracy",
-                         o.result.final_test_accuracy) ||
-        !json_get_double(line, "total_sim_seconds",
-                         o.result.total_sim_seconds) ||
-        !json_get_double(line, "avg_epoch_sim_seconds",
-                         o.result.avg_epoch_sim_seconds) ||
-        !json_get_double(line, "total_comm_sim_seconds",
-                         o.comm_sim_seconds)) {
-      return false;
+  for (const Column& c : kColumns) {
+    if ((c.formats & kJournal) == 0 || !carried(c, o.ok)) continue;
+    Cell value;
+    if (!read_field(*fields, c.name, c.kind, value)) return false;
+    if (c.set) {
+      if (!c.set(o, value)) return false;
+      continue;
     }
-    // The async and data-plane columns entered the journal in later
-    // versions; their absence is impossible in practice because the
-    // version and fingerprint serialization changed at the same time
-    // (older journals are rejected up front).
-    std::int64_t peak_bytes = 0, requests = 0, batches = 0;
-    if (!json_get_double(line, "max_wait_seconds", o.max_wait_seconds) ||
-        !json_get_string(line, "rank_wait_seconds", o.rank_waits) ||
-        !json_get_string(line, "staleness_hist", o.staleness_hist) ||
-        !json_get_int(line, "peak_dataset_bytes", peak_bytes) ||
-        !json_get_int(line, "requests", requests) ||
-        !json_get_int(line, "batches", batches) ||
-        !json_get_double(line, "throughput_rps", o.throughput_rps) ||
-        !json_get_double(line, "mean_batch", o.mean_batch) ||
-        !json_get_double(line, "p50_latency_s", o.p50_latency_s) ||
-        !json_get_double(line, "p99_latency_s", o.p99_latency_s) ||
-        !json_get_double(line, "p999_latency_s", o.p999_latency_s)) {
-      return false;
-    }
-    std::string metrics_text;
-    if (!json_get_string(line, "metrics", metrics_text) ||
-        !parse_metrics(metrics_text, o.result.metrics)) {
-      return false;
-    }
-    o.peak_dataset_bytes = static_cast<std::uint64_t>(peak_bytes);
-    o.serve_requests = static_cast<std::uint64_t>(requests);
-    o.serve_batches = static_cast<std::uint64_t>(batches);
-    o.ok = true;
-    o.result.solver = scenarios[i].solver;
-    o.result.iterations = static_cast<int>(iterations);
-  } else if (status == "error") {
-    if (!json_get_string(line, "error", o.error)) return false;
-    o.ok = false;
-  } else {
-    return false;
+    const Cell expected = c.get(o);
+    NADMM_CHECK(value == expected,
+                "sweep journal: scenario " + std::to_string(i) + " has " +
+                    c.name + " '" + format_cell(value, kCsv) +
+                    "' but the grid expands to '" +
+                    format_cell(expected, kCsv) +
+                    "' — journal is from a different spec");
   }
+  if (o.ok) o.result.solver = o.scenario.solver;
   outcomes[i] = std::move(o);
   completed[i] = 1;
   return true;
@@ -740,48 +885,24 @@ std::size_t SweepReport::failures() const {
 }
 
 std::vector<std::string> SweepReport::csv_rows() const {
+  const auto& columns = csv_columns();
   std::vector<std::string> rows;
   rows.reserve(outcomes.size() + 1);
-  rows.emplace_back(
-      "scenario,solver,dataset,n_train,n_test,workers,device,network,penalty,"
-      "lambda,straggler,partition,status,iterations,final_objective,"
-      "final_test_accuracy,total_sim_seconds,avg_epoch_sim_seconds,"
-      "total_comm_sim_seconds,max_wait_seconds,rank_wait_seconds,"
-      "staleness_hist,"
-      "peak_dataset_bytes,arrival,batch_policy,requests,batches,"
-      "throughput_rps,mean_batch,p50_latency_s,p99_latency_s,p999_latency_s,"
-      "fault,kill,checkpoint_every,retransmits,gaps_detected,"
-      "messages_dropped,checkpoints,restores");
+  std::string header;
+  for (const Column* c : columns) {
+    if (!header.empty()) header += ',';
+    header += c->name;
+  }
+  rows.push_back(std::move(header));
   for (const auto& o : outcomes) {
-    const auto& c = o.scenario.config;
-    const auto& r = o.result;
-    const double comm = o.comm_sim_seconds;
-    std::ostringstream row;
-    row << o.scenario.index << ',' << o.scenario.solver << ',' << c.dataset
-        << ',' << c.n_train << ',' << c.n_test << ',' << c.workers << ','
-        << c.device << ',' << c.network << ',' << c.penalty << ','
-        << fmt_double(c.lambda) << ',' << c.straggler << ',' << c.partition
-        << ',' << (o.ok ? "ok" : "error") << ','
-        << (o.ok ? r.iterations : 0) << ','
-        << fmt_double(o.ok ? r.final_objective : 0.0) << ','
-        << fmt_double(o.ok ? r.final_test_accuracy : 0.0) << ','
-        << fmt_double(o.ok ? r.total_sim_seconds : 0.0) << ','
-        << fmt_double(o.ok ? r.avg_epoch_sim_seconds : 0.0) << ','
-        << fmt_double(comm) << ',' << fmt_double(o.max_wait_seconds) << ','
-        << o.rank_waits << ',' << o.staleness_hist << ','
-        << o.peak_dataset_bytes << ','
-        << o.scenario.arrival << ',' << o.scenario.batch << ','
-        << o.serve_requests << ',' << o.serve_batches << ','
-        << fmt_double(o.throughput_rps) << ',' << fmt_double(o.mean_batch)
-        << ',' << fmt_double(o.p50_latency_s) << ','
-        << fmt_double(o.p99_latency_s) << ',' << fmt_double(o.p999_latency_s)
-        << ',' << c.fault << ',' << c.kill << ',' << c.checkpoint_every << ','
-        << (o.ok ? r.metric("retransmits") : 0) << ','
-        << (o.ok ? r.metric("gaps_detected") : 0) << ','
-        << (o.ok ? r.metric("messages_dropped") : 0) << ','
-        << (o.ok ? r.metric("checkpoints") : 0) << ','
-        << (o.ok ? r.metric("restores") : 0);
-    rows.push_back(row.str());
+    std::string row;
+    for (const Column* c : columns) {
+      Cell value = column_value(*c, o);
+      if (!carried(*c, o.ok)) std::visit([](auto& v) { v = {}; }, value);
+      if (!row.empty()) row += ',';
+      row += format_cell(value, kCsv);
+    }
+    rows.push_back(std::move(row));
   }
   return rows;
 }
@@ -797,56 +918,8 @@ void SweepReport::write_json(const std::string& path) const {
   if (!out) throw RuntimeError("cannot open sweep report for writing: " + path);
   out << "[\n";
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
-    const auto& o = outcomes[i];
-    const auto& c = o.scenario.config;
-    const auto& r = o.result;
-    const double comm = o.comm_sim_seconds;
-    out << "  {\"scenario\": " << o.scenario.index                      //
-        << ", \"tag\": \"" << json_escape(o.scenario.tag()) << "\""     //
-        << ", \"solver\": \"" << json_escape(o.scenario.solver) << "\"" //
-        << ", \"dataset\": \"" << json_escape(c.dataset) << "\""        //
-        << ", \"n_train\": " << c.n_train                               //
-        << ", \"n_test\": " << c.n_test                                 //
-        << ", \"workers\": " << c.workers                               //
-        << ", \"device\": \"" << json_escape(c.device) << "\""          //
-        << ", \"network\": \"" << json_escape(c.network) << "\""        //
-        << ", \"penalty\": \"" << json_escape(c.penalty) << "\""        //
-        << ", \"lambda\": " << fmt_json_number(c.lambda)                //
-        << ", \"straggler\": \"" << json_escape(c.straggler) << "\""    //
-        << ", \"partition\": \"" << json_escape(c.partition) << "\""    //
-        << ", \"fault\": \"" << json_escape(c.fault) << "\""            //
-        << ", \"kill\": \"" << json_escape(c.kill) << "\""              //
-        << ", \"checkpoint_every\": " << c.checkpoint_every             //
-        << ", \"arrival\": \"" << json_escape(o.scenario.arrival) << "\""
-        << ", \"batch_policy\": \"" << json_escape(o.scenario.batch) << "\""
-        << ", \"status\": \"" << (o.ok ? "ok" : "error") << "\"";
-    if (o.ok) {
-      out << ", \"iterations\": " << r.iterations                        //
-          << ", \"final_objective\": " << fmt_json_number(r.final_objective)
-          << ", \"final_test_accuracy\": "
-          << fmt_json_number(r.final_test_accuracy)                      //
-          << ", \"total_sim_seconds\": "
-          << fmt_json_number(r.total_sim_seconds)                        //
-          << ", \"avg_epoch_sim_seconds\": "
-          << fmt_json_number(r.avg_epoch_sim_seconds)                    //
-          << ", \"total_comm_sim_seconds\": " << fmt_json_number(comm)   //
-          << ", \"max_wait_seconds\": " << fmt_json_number(o.max_wait_seconds)
-          << ", \"rank_wait_seconds\": \"" << json_escape(o.rank_waits) << "\""
-          << ", \"staleness_hist\": \"" << json_escape(o.staleness_hist)
-          << "\", \"peak_dataset_bytes\": " << o.peak_dataset_bytes
-          << ", \"requests\": " << o.serve_requests                      //
-          << ", \"batches\": " << o.serve_batches                        //
-          << ", \"throughput_rps\": " << fmt_json_number(o.throughput_rps)
-          << ", \"mean_batch\": " << fmt_json_number(o.mean_batch)       //
-          << ", \"p50_latency_s\": " << fmt_json_number(o.p50_latency_s)
-          << ", \"p99_latency_s\": " << fmt_json_number(o.p99_latency_s)
-          << ", \"p999_latency_s\": " << fmt_json_number(o.p999_latency_s)
-          << ", \"metrics\": \"" << json_escape(fmt_metrics(r.metrics))
-          << "\"";
-    } else {
-      out << ", \"error\": \"" << json_escape(o.error) << "\"";
-    }
-    out << '}' << (i + 1 < outcomes.size() ? "," : "") << '\n';
+    out << "  " << json_record(outcomes[i], kJson)
+        << (i + 1 < outcomes.size() ? "," : "") << '\n';
   }
   out << "]\n";
 }
@@ -891,16 +964,20 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& options) {
         line.find_last_not_of(" \t\r") != std::string::npos &&
         line[line.find_last_not_of(" \t\r")] == '}';
     if (has_header) {
-      std::string kind, journal_fp;
-      std::int64_t journal_fp_scenarios = -1, journal_version = -1;
-      NADMM_CHECK(json_get_string(line, "kind", kind) && kind == kJournalKind,
+      const auto header = split_journal_line(line);
+      Cell kind, fp, count, version;
+      NADMM_CHECK(header && read_field(*header, "kind", kString, kind) &&
+                      std::get<std::string>(kind) == kJournalKind,
                   "sweep journal " + options.journal_path +
                       " has an unrecognized header");
-      NADMM_CHECK(json_get_string(line, "fingerprint", journal_fp) &&
-                      json_get_int(line, "scenarios", journal_fp_scenarios) &&
-                      json_get_int(line, "version", journal_version),
+      NADMM_CHECK(read_field(*header, "fingerprint", kString, fp) &&
+                      read_field(*header, "scenarios", kInt, count) &&
+                      read_field(*header, "version", kInt, version),
                   "sweep journal " + options.journal_path +
                       " has a malformed header");
+      const auto& journal_fp = std::get<std::string>(fp);
+      const auto journal_fp_scenarios = std::get<std::int64_t>(count);
+      const auto journal_version = std::get<std::int64_t>(version);
       NADMM_CHECK(journal_version == kJournalVersion,
                   "sweep journal " + options.journal_path +
                       " has unsupported version " +
@@ -1128,7 +1205,7 @@ SweepReport run_sweep(const SweepSpec& spec, const SweepOptions& options) {
         report.outcomes[i] = std::move(outcome);
         ++report.executed;
         if (journal.is_open()) {
-          journal << journal_outcome_line(report.outcomes[i]) << '\n';
+          journal << json_record(report.outcomes[i], kJournal) << '\n';
           journal.flush();
         }
         const std::size_t finished = done.fetch_add(1) + 1;

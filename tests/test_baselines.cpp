@@ -17,8 +17,8 @@
 namespace nadmm::baselines {
 namespace {
 
-/// Contiguous zero-copy shards sized to the cluster — the explicit form
-/// of what the deprecated (train, test) solver overloads did implicitly.
+/// Contiguous zero-copy shards sized to the cluster, one per rank: the
+/// solver entry points take pre-sharded data only.
 nadmm::data::ShardedDataset shards(const nadmm::comm::SimCluster& cluster,
                                    const nadmm::data::Dataset& train,
                                    const nadmm::data::Dataset* test) {

@@ -438,7 +438,9 @@ TEST(Partition, MakeShardedFillsNumaPlacementHint) {
   // Whatever the host topology, hints are valid node indices and monotone.
   for (std::size_t r = 0; r < sharded.numa_node.size(); ++r) {
     EXPECT_GE(sharded.numa_node[r], 0);
-    if (r > 0) EXPECT_GE(sharded.numa_node[r], sharded.numa_node[r - 1]);
+    if (r > 0) {
+      EXPECT_GE(sharded.numa_node[r], sharded.numa_node[r - 1]);
+    }
   }
 }
 

@@ -566,21 +566,27 @@ TEST(SweepJournal, ErrorOutcomesRoundTripThroughTheJournal) {
   SweepSpec spec = tiny_spec();
   spec.solvers = {"newton-admm", "no-such-solver"};
   spec.lambdas = {1e-3};
+  // Straggler rank 5 does not exist on 2 workers: that scenario fails
+  // after its data was sharded (peak_dataset_bytes already measured),
+  // the unknown solver before.
+  spec.stragglers = {"none", "5:4"};
 
   SweepOptions first;
   first.journal_path = journal;
   const auto a = run_sweep(spec, first);
-  EXPECT_EQ(a.failures(), 1u);
+  EXPECT_EQ(a.failures(), 3u);
 
   SweepOptions resumed;
   resumed.journal_path = journal;
   resumed.resume = true;
   const auto b = run_sweep(spec, resumed);
-  EXPECT_EQ(b.resumed, 2u);
+  EXPECT_EQ(b.resumed, 4u);
   EXPECT_EQ(b.executed, 0u);
   EXPECT_EQ(a.csv_rows(), b.csv_rows());
   EXPECT_FALSE(b.outcomes[1].ok);
-  EXPECT_NE(b.outcomes[1].error.find("no-such-solver"), std::string::npos);
+  EXPECT_NE(b.outcomes[1].error.find("straggler"), std::string::npos);
+  EXPECT_FALSE(b.outcomes[2].ok);
+  EXPECT_NE(b.outcomes[2].error.find("no-such-solver"), std::string::npos);
   std::filesystem::remove_all(dir);
 }
 

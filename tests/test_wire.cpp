@@ -305,6 +305,27 @@ TEST(ByteReader, GetRawIsBoundsChecked) {
   EXPECT_THROW(static_cast<void>(r.get_raw(1)), RuntimeError);
 }
 
+TEST(ByteReader, WrappedF64LengthIsRejected) {
+  // (2^61 + 1) * 8 wraps to 8 in 64 bits, which a multiplied bound
+  // would accept against the 8 payload bytes below.
+  binio::ByteWriter w;
+  w.put_u64((std::uint64_t{1} << 61) + 1);
+  w.put_f64(1.0);
+  const auto bytes = w.take();
+  binio::ByteReader r(bytes, "wrapped blob");
+  EXPECT_THROW(static_cast<void>(r.get_f64_vector()), RuntimeError);
+}
+
+TEST(ByteReader, EmptyF64VectorRoundTrips) {
+  binio::ByteWriter w;
+  w.put_f64_span(std::vector<double>{});
+  const auto bytes = w.take();
+  binio::ByteReader r(bytes, "empty blob");
+  // A fresh vector's data() may be null, which memcpy must never see.
+  EXPECT_TRUE(r.get_f64_vector().empty());
+  EXPECT_NO_THROW(r.expect_end());
+}
+
 TEST(ByteReader, ExpectEndRejectsTrailingBytes) {
   binio::ByteWriter w;
   w.put_u32(1);
